@@ -8,8 +8,10 @@
 #define SEEDB_DB_AGGREGATES_H_
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "db/predicate.h"
 #include "util/result.h"
@@ -99,6 +101,36 @@ struct AggregateSpec {
                             std::string output_name = "",
                             PredicatePtr filter = nullptr);
 };
+
+/// \brief One distinct accumulator of a query: an (input column, FILTER,
+/// count-only) triple.
+///
+/// AggState carries every function's fields, so SUM, AVG, MIN and MAX of
+/// one measure under one FILTER accumulate identical states, and COUNT(m)
+/// reads only the count, which such a state holds too (both skip null
+/// inputs). A fused scan therefore keeps one state per payload, not per
+/// aggregate, and finalizes each aggregate from its payload's state.
+struct AggPayload {
+  /// The first aggregate mapped to this payload; its input and FILTER
+  /// describe the payload.
+  size_t spec = 0;
+  /// Counts rows only: COUNT(*), or COUNT(m) when no SUM/AVG/MIN/MAX of m
+  /// under the same FILTER provides a full state to ride on.
+  bool count_only = false;
+};
+
+struct AggPayloadPlan {
+  /// Full payloads in first-use order, then count-only ones.
+  std::vector<AggPayload> payloads;
+  /// payload_of[j]: the payload aggregate j is finalized from.
+  std::vector<size_t> payload_of;
+};
+
+/// Maps `aggregates` onto their distinct payloads. FILTERs match by
+/// predicate object (the scan evaluates one mask per object), inputs by
+/// column name. The plan is a pure function of the list, so the scan and
+/// the result-cache key (db/scan_cache.h) derive the same one.
+AggPayloadPlan PlanAggPayloads(const std::vector<AggregateSpec>& aggregates);
 
 }  // namespace seedb::db
 

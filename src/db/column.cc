@@ -1,7 +1,5 @@
 #include "db/column.h"
 
-#include <unordered_set>
-
 namespace seedb::db {
 
 Column::Column(ValueType type) : type_(type) {}
@@ -114,38 +112,6 @@ Value Column::GetValue(size_t row) const {
 int32_t Column::FindCode(std::string_view s) const {
   auto it = dict_index_.find(std::string(s));
   return it == dict_index_.end() ? -1 : it->second;
-}
-
-size_t Column::CountDistinct() const {
-  switch (type_) {
-    case ValueType::kString: {
-      if (null_count_ == 0) return dict_.size();
-      // Some dictionary entries may only back null slots' placeholder code 0;
-      // count codes actually referenced by valid rows.
-      std::unordered_set<int32_t> seen;
-      for (size_t i = 0; i < size_; ++i) {
-        if (!IsNull(i)) seen.insert(codes_[i]);
-      }
-      return seen.size();
-    }
-    case ValueType::kInt64: {
-      std::unordered_set<int64_t> seen;
-      for (size_t i = 0; i < size_; ++i) {
-        if (!IsNull(i)) seen.insert(int64_data_[i]);
-      }
-      return seen.size();
-    }
-    case ValueType::kDouble: {
-      std::unordered_set<double> seen;
-      for (size_t i = 0; i < size_; ++i) {
-        if (!IsNull(i)) seen.insert(double_data_[i]);
-      }
-      return seen.size();
-    }
-    case ValueType::kNull:
-      return 0;
-  }
-  return 0;
 }
 
 }  // namespace seedb::db

@@ -76,11 +76,6 @@ class Column {
   /// Returns the code for `s`, or -1 if `s` is not in the dictionary.
   int32_t FindCode(std::string_view s) const;
 
-  /// Exact distinct count of non-null values (O(n) for numerics, O(1)-ish
-  /// for dictionary columns which may overcount dropped values only if rows
-  /// were never removed — they cannot be, so it is exact).
-  size_t CountDistinct() const;
-
  private:
   void MarkValidityForAppend(bool valid);
 

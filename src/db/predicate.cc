@@ -1,6 +1,7 @@
 #include "db/predicate.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/string_util.h"
 
@@ -24,6 +25,89 @@ bool CompareValues(const Value& lhs, CompareOp op, const Value& rhs) {
   }
   return false;
 }
+
+// A numeric comparison in one typed domain under the host operators: NaN
+// satisfies only <>. ComparisonPredicate evaluates numerics this way in the
+// double domain (see predicate.h).
+template <typename T>
+bool CompareNumeric(T lhs, CompareOp op, T rhs) {
+  switch (op) {
+    case CompareOp::kEq:
+      return lhs == rhs;
+    case CompareOp::kNe:
+      return lhs != rhs;
+    case CompareOp::kLt:
+      return lhs < rhs;
+    case CompareOp::kLe:
+      return lhs <= rhs;
+    case CompareOp::kGt:
+      return lhs > rhs;
+    case CompareOp::kGe:
+      return lhs >= rhs;
+  }
+  return false;
+}
+
+// Writes mask[i] = (row i is non-null) && hit(i) for every row of `col`.
+// hit(i) also runs for null rows, whose slots hold 0 / 0.0 / code 0, so it
+// must be safe to read them (FillCodeMask keeps code 0 in range).
+template <typename Hit>
+void FillMask(const Column& col, const Hit& hit, std::vector<uint8_t>* mask) {
+  const size_t n = col.size();
+  mask->resize(n);
+  uint8_t* m = mask->data();
+  if (col.validity().empty()) {
+    for (size_t i = 0; i < n; ++i) m[i] = hit(i) ? 1 : 0;
+    return;
+  }
+  const uint8_t* valid = col.validity().data();
+  for (size_t i = 0; i < n; ++i) m[i] = valid[i] & (hit(i) ? 1 : 0);
+}
+
+// Dictionary columns: the predicate is evaluated once per distinct string
+// (with Value semantics), then rows look their code up in the truth table.
+template <typename ValueMatches>
+void FillCodeMask(const Column& col, const ValueMatches& matches,
+                  std::vector<uint8_t>* mask) {
+  // A null row holds code 0 even when the dictionary is empty (every row
+  // null), so the table always has an entry for code 0.
+  std::vector<uint8_t> code_match(std::max<size_t>(col.dict_size(), 1), 0);
+  for (size_t c = 0; c < col.dict_size(); ++c) {
+    code_match[c] =
+        matches(Value(col.dict_value(static_cast<int32_t>(c)))) ? 1 : 0;
+  }
+  const int32_t* codes = col.codes().data();
+  FillMask(col, [&](size_t i) { return code_match[codes[i]] != 0; }, mask);
+}
+
+// Numeric literals sorted for IN lookup, split by the domain Value equality
+// compares them in against an int64 cell: int64 literals exactly, double
+// literals as doubles. NaN literals are dropped (they equal nothing).
+struct NumericInList {
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+
+  NumericInList(const std::vector<Value>& values, bool int64_column) {
+    for (const Value& v : values) {
+      if (int64_column && v.type() == ValueType::kInt64) {
+        ints.push_back(v.AsInt64());
+      } else if (double d = v.ToDouble().ValueOrDie(); !std::isnan(d)) {
+        doubles.push_back(d);
+      }
+    }
+    std::sort(ints.begin(), ints.end());
+    std::sort(doubles.begin(), doubles.end());
+  }
+
+  bool Contains(int64_t v) const {
+    return std::binary_search(ints.begin(), ints.end(), v) ||
+           ContainsDouble(static_cast<double>(v));
+  }
+  bool ContainsDouble(double v) const {
+    return !std::isnan(v) &&
+           std::binary_search(doubles.begin(), doubles.end(), v);
+  }
+};
 
 Status CheckComparable(const Schema& schema, const std::string& column,
                        const Value& literal) {
@@ -65,16 +149,6 @@ const char* CompareOpToSql(CompareOp op) {
   return "?";
 }
 
-Status Predicate::EvaluateMask(const Table& table,
-                               std::vector<uint8_t>* mask) const {
-  SEEDB_RETURN_IF_ERROR(Validate(table.schema()));
-  mask->assign(table.num_rows(), 0);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    (*mask)[i] = Matches(table, i) ? 1 : 0;
-  }
-  return Status::OK();
-}
-
 // -- ComparisonPredicate -----------------------------------------------------
 
 bool ComparisonPredicate::Matches(const Table& table, size_t row) const {
@@ -82,60 +156,37 @@ bool ComparisonPredicate::Matches(const Table& table, size_t row) const {
   if (!col.ok()) return false;
   const Column& c = **col;
   if (c.IsNull(row)) return false;
-  return CompareValues(c.GetValue(row), op_, literal_);
+  if (c.type() == ValueType::kString) {
+    return CompareValues(c.GetValue(row), op_, literal_);
+  }
+  Result<double> lit = literal_.ToDouble();
+  return lit.ok() && CompareNumeric(c.NumericAt(row), op_, *lit);
 }
 
 Status ComparisonPredicate::EvaluateMask(const Table& table,
                                          std::vector<uint8_t>* mask) const {
   SEEDB_RETURN_IF_ERROR(Validate(table.schema()));
   SEEDB_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(column_));
-  const size_t n = table.num_rows();
-  mask->assign(n, 0);
-  std::vector<uint8_t>& m = *mask;
-
-  // Dictionary fast path: equality against a string literal is a code
-  // comparison; other operators compare through per-code precomputation.
   if (col->type() == ValueType::kString) {
-    const auto& codes = col->codes();
-    std::vector<uint8_t> code_match(col->dict_size(), 0);
-    for (size_t c = 0; c < col->dict_size(); ++c) {
-      code_match[c] = CompareValues(Value(col->dict_value(static_cast<int32_t>(c))),
-                                    op_, literal_)
-                          ? 1
-                          : 0;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      m[i] = (!col->IsNull(i) && code_match[codes[i]]) ? 1 : 0;
-    }
+    FillCodeMask(
+        *col, [&](const Value& v) { return CompareValues(v, op_, literal_); },
+        mask);
     return Status::OK();
   }
-
-  double lit = literal_.ToDouble().ValueOrDie();
-  for (size_t i = 0; i < n; ++i) {
-    if (col->IsNull(i)) continue;
-    double v = col->NumericAt(i);
-    bool hit = false;
-    switch (op_) {
-      case CompareOp::kEq:
-        hit = v == lit;
-        break;
-      case CompareOp::kNe:
-        hit = v != lit;
-        break;
-      case CompareOp::kLt:
-        hit = v < lit;
-        break;
-      case CompareOp::kLe:
-        hit = v <= lit;
-        break;
-      case CompareOp::kGt:
-        hit = v > lit;
-        break;
-      case CompareOp::kGe:
-        hit = v >= lit;
-        break;
-    }
-    m[i] = hit ? 1 : 0;
+  const double lit = literal_.ToDouble().ValueOrDie();
+  if (col->type() == ValueType::kInt64) {
+    const int64_t* data = col->int64_data().data();
+    FillMask(
+        *col,
+        [&](size_t i) {
+          return CompareNumeric(static_cast<double>(data[i]), op_, lit);
+        },
+        mask);
+  } else {
+    const double* data = col->double_data().data();
+    FillMask(
+        *col, [&](size_t i) { return CompareNumeric(data[i], op_, lit); },
+        mask);
   }
   return Status::OK();
 }
@@ -166,6 +217,31 @@ bool InPredicate::Matches(const Table& table, size_t row) const {
   Value v = c.GetValue(row);
   return std::any_of(values_.begin(), values_.end(),
                      [&](const Value& cand) { return v == cand; });
+}
+
+Status InPredicate::EvaluateMask(const Table& table,
+                                 std::vector<uint8_t>* mask) const {
+  SEEDB_RETURN_IF_ERROR(Validate(table.schema()));
+  SEEDB_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(column_));
+  if (col->type() == ValueType::kString) {
+    FillCodeMask(
+        *col,
+        [&](const Value& v) {
+          return std::find(values_.begin(), values_.end(), v) != values_.end();
+        },
+        mask);
+    return Status::OK();
+  }
+  const NumericInList list(values_, col->type() == ValueType::kInt64);
+  if (col->type() == ValueType::kInt64) {
+    const int64_t* data = col->int64_data().data();
+    FillMask(*col, [&](size_t i) { return list.Contains(data[i]); }, mask);
+  } else {
+    const double* data = col->double_data().data();
+    FillMask(*col, [&](size_t i) { return list.ContainsDouble(data[i]); },
+             mask);
+  }
+  return Status::OK();
 }
 
 Status InPredicate::Validate(const Schema& schema) const {
@@ -203,6 +279,44 @@ bool BetweenPredicate::Matches(const Table& table, size_t row) const {
   if (c.IsNull(row)) return false;
   Value v = c.GetValue(row);
   return v >= lo_ && v <= hi_;
+}
+
+Status BetweenPredicate::EvaluateMask(const Table& table,
+                                      std::vector<uint8_t>* mask) const {
+  SEEDB_RETURN_IF_ERROR(Validate(table.schema()));
+  SEEDB_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(column_));
+  if (col->type() == ValueType::kString) {
+    FillCodeMask(
+        *col, [&](const Value& v) { return v >= lo_ && v <= hi_; }, mask);
+    return Status::OK();
+  }
+  // Value's v >= lo is !(v < lo) and v <= hi is (v < hi || v == hi); both
+  // are reproduced per bound, in the domain Value compares that bound in.
+  const double lo = lo_.ToDouble().ValueOrDie();
+  const double hi = hi_.ToDouble().ValueOrDie();
+  if (col->type() == ValueType::kDouble) {
+    const double* data = col->double_data().data();
+    FillMask(
+        *col, [&](size_t i) { return !(data[i] < lo) && data[i] <= hi; },
+        mask);
+    return Status::OK();
+  }
+  const int64_t* data = col->int64_data().data();
+  const bool lo_int = lo_.type() == ValueType::kInt64;
+  const bool hi_int = hi_.type() == ValueType::kInt64;
+  const int64_t lo_i = lo_int ? lo_.AsInt64() : 0;
+  const int64_t hi_i = hi_int ? hi_.AsInt64() : 0;
+  FillMask(
+      *col,
+      [&](size_t i) {
+        const int64_t v = data[i];
+        const double vd = static_cast<double>(v);
+        const bool ge = lo_int ? v >= lo_i : !(vd < lo);
+        const bool le = hi_int ? v <= hi_i : vd <= hi;
+        return ge && le;
+      },
+      mask);
+  return Status::OK();
 }
 
 Status BetweenPredicate::Validate(const Schema& schema) const {
@@ -292,6 +406,13 @@ void LogicalPredicate::CollectColumns(std::vector<std::string>* out) const {
 
 bool NotPredicate::Matches(const Table& table, size_t row) const {
   return !child_->Matches(table, row);
+}
+
+Status NotPredicate::EvaluateMask(const Table& table,
+                                  std::vector<uint8_t>* mask) const {
+  SEEDB_RETURN_IF_ERROR(child_->EvaluateMask(table, mask));
+  for (uint8_t& m : *mask) m ^= 1;
+  return Status::OK();
 }
 
 Status NotPredicate::Validate(const Schema& schema) const {

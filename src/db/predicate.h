@@ -9,6 +9,18 @@
 // unknown values are filtered out). NOT inverts that boolean outcome. This is
 // two-valued logic — adequate for SeeDB's selection queries and documented
 // here as a deliberate simplification of SQL's three-valued logic.
+//
+// Numeric semantics: ComparisonPredicate compares numerics in the double
+// domain under IEEE rules (a NaN cell satisfies only <>), the domain the
+// fused compare kernels and the result-cache keys share. IN and BETWEEN
+// follow Value comparison exactly: a bound or list literal compares in the
+// int64 domain against an int64 cell when it is itself int64, in the double
+// domain otherwise, so a NaN cell never matches either.
+//
+// Every concrete predicate evaluates its mask in one typed pass: the column
+// is resolved once, strings go through a per-dictionary-code truth table and
+// numerics through a loop over the raw array. Matches() is the row-at-a-time
+// reference the masks are tested against.
 
 #ifndef SEEDB_DB_PREDICATE_H_
 #define SEEDB_DB_PREDICATE_H_
@@ -34,13 +46,14 @@ class Predicate {
  public:
   virtual ~Predicate() = default;
 
-  /// Row-at-a-time evaluation (reference semantics for tests/slow paths).
+  /// Row-at-a-time evaluation: the reference the typed masks are tested
+  /// against; no execution path calls it.
   virtual bool Matches(const Table& table, size_t row) const = 0;
 
   /// Vectorized evaluation: resizes `mask` to table.num_rows() and writes
-  /// 1 for matching rows, 0 otherwise.
+  /// 1 for matching rows, 0 otherwise, in one typed pass.
   virtual Status EvaluateMask(const Table& table,
-                              std::vector<uint8_t>* mask) const;
+                              std::vector<uint8_t>* mask) const = 0;
 
   /// Checks that all referenced columns exist with comparable types.
   virtual Status Validate(const Schema& schema) const = 0;
@@ -87,6 +100,8 @@ class InPredicate final : public Predicate {
       : column_(std::move(column)), values_(std::move(values)) {}
 
   bool Matches(const Table& table, size_t row) const override;
+  Status EvaluateMask(const Table& table,
+                      std::vector<uint8_t>* mask) const override;
   Status Validate(const Schema& schema) const override;
   std::string ToSql() const override;
   std::unique_ptr<Predicate> Clone() const override;
@@ -104,6 +119,8 @@ class BetweenPredicate final : public Predicate {
       : column_(std::move(column)), lo_(std::move(lo)), hi_(std::move(hi)) {}
 
   bool Matches(const Table& table, size_t row) const override;
+  Status EvaluateMask(const Table& table,
+                      std::vector<uint8_t>* mask) const override;
   Status Validate(const Schema& schema) const override;
   std::string ToSql() const override;
   std::unique_ptr<Predicate> Clone() const override;
@@ -143,6 +160,8 @@ class NotPredicate final : public Predicate {
       : child_(std::move(child)) {}
 
   bool Matches(const Table& table, size_t row) const override;
+  Status EvaluateMask(const Table& table,
+                      std::vector<uint8_t>* mask) const override;
   Status Validate(const Schema& schema) const override;
   std::string ToSql() const override;
   std::unique_ptr<Predicate> Clone() const override;

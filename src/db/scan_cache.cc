@@ -78,10 +78,14 @@ std::string PartialAggCacheKey(const Table& table, uint64_t table_version,
       key += col + ",";
     }
   }
-  for (const AggregateSpec& agg : query.aggregates) {
-    // The function is excluded on purpose: AggState carries every function's
-    // accumulators, so entries are shared across e.g. SUM and AVG sessions.
-    key += "|a:";
+  // One entry per payload, in the scan's payload order. Functions are not
+  // keyed — SUM(x) and AVG(x) sessions share one full payload — but
+  // count-only payloads are marked: their states carry the count alone
+  // (sum 0, min/max at +/-inf), so a SUM must never adopt one.
+  const AggPayloadPlan plan = PlanAggPayloads(query.aggregates);
+  for (const AggPayload& payload : plan.payloads) {
+    const AggregateSpec& agg = query.aggregates[payload.spec];
+    key += payload.count_only ? "|c:" : "|p:";
     if (agg.input.empty()) {
       key += "*";
     } else {
@@ -111,8 +115,8 @@ void PartialAggCache::Insert(const std::string& key, CachedPartialAgg entry) {
   size_t bytes = entry.bytes;
   if (bytes == 0) {
     bytes = entry.rep_row.size() * sizeof(uint32_t) + key.size();
-    for (const auto& per_agg : entry.states) {
-      bytes += per_agg.size() * sizeof(AggState);
+    for (const auto& per_payload : entry.states) {
+      bytes += per_payload.size() * sizeof(AggState);
     }
     entry.bytes = bytes;
   }

@@ -61,10 +61,12 @@ std::string PredicateFingerprint(const Predicate* pred, const Schema& schema);
 /// Cache key for one (query, grouping set) pair of a shared-scan batch over
 /// `table` at catalog version `table_version`. Embeds the table name and
 /// version, the WHERE fingerprint, the sampling configuration, the grouping
-/// set's column indices, and each aggregate's input column + FILTER
-/// fingerprint. Aggregate *functions* are deliberately excluded: AggState
-/// accumulates count/sum/min/max together, so SUM(x) and AVG(x) sessions
-/// share one entry.
+/// set's column indices, and each aggregation payload (PlanAggPayloads, in
+/// the scan's order): its input column, FILTER fingerprint and whether it is
+/// count-only. Aggregate *functions* are deliberately excluded: a full
+/// payload's AggState serves SUM, AVG, MIN, MAX and COUNT of its input alike,
+/// so SUM(x) and AVG(x) sessions share one entry. A count-only payload
+/// (COUNT(x) with no full payload of x beside it) keys apart from a full one.
 std::string PartialAggCacheKey(const Table& table, uint64_t table_version,
                                const GroupingSetsQuery& query,
                                size_t set_index);
@@ -77,7 +79,8 @@ std::string PartialAggCacheKey(const Table& table, uint64_t table_version,
 /// scanned.
 struct CachedPartialAgg {
   std::vector<uint32_t> rep_row;
-  /// states[agg][group], same shape as the scan's merged state.
+  /// states[payload][group], same shape as the scan's merged state: one
+  /// state per aggregation payload, not per aggregate.
   std::vector<std::vector<AggState>> states;
   /// Accounted footprint (states + rep_row + key), the LRU's budget unit.
   size_t bytes = 0;

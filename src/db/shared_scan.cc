@@ -49,22 +49,27 @@ struct SetSpec {
   std::vector<vec::DenseDim> dims;
 };
 
-// One aggregate of one query, resolved for the scan.
-struct AggRuntime {
+// One aggregation payload of one query (db/aggregates.h AggPayload),
+// resolved for the scan: every accumulator below — worker slabs, hash-path
+// groups, merged state, cache entries — holds one AggState per payload, not
+// per aggregate.
+struct PayloadRuntime {
   const Column* input = nullptr;  // nullptr => COUNT(*)
   const std::vector<uint8_t>* filter = nullptr;
   bool count_only = false;
 };
 
 // One query of the batch, fully resolved: combined sample & WHERE mask
-// (nullptr selects every row), grouping sets, aggregates.
+// (nullptr selects every row), grouping sets, aggregation payloads.
 struct QuerySpec {
   const std::vector<uint8_t>* mask = nullptr;
   /// Sample mask alone (nullptr = unsampled) — the rows the scan *visits*
   /// for this query, the unit rows_scanned accounting uses.
   const std::vector<uint8_t>* sample_mask = nullptr;
   std::vector<SetSpec> sets;
-  std::vector<AggRuntime> aggs;
+  std::vector<PayloadRuntime> payloads;
+  /// payload_of[j]: the payload query aggregate j finalizes from.
+  std::vector<size_t> payload_of;
   /// Index into the scan's selection-recipe list; -1 = no row filter, the
   /// vectorized kernels walk the whole morsel directly.
   int recipe = -1;
@@ -158,13 +163,13 @@ struct LocalGroups {
   std::vector<uint32_t> rep_row;
   std::vector<size_t> dense_slot;
   std::vector<std::vector<int64_t>> keys;
-  /// states[agg][local group].
+  /// states[payload][local group].
   std::vector<std::vector<AggState>> states;
 
   int32_t NewGroup(uint32_t row) {
     int32_t gid = static_cast<int32_t>(rep_row.size());
     rep_row.push_back(row);
-    for (auto& per_agg : states) per_agg.emplace_back();
+    for (auto& per_payload : states) per_payload.emplace_back();
     return gid;
   }
 
@@ -177,7 +182,7 @@ struct LocalGroups {
     rep_row.clear();
     dense_slot.clear();
     keys.clear();
-    for (auto& per_agg : states) per_agg.clear();
+    for (auto& per_payload : states) per_payload.clear();
   }
 };
 
@@ -215,7 +220,7 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
       if (set.vectorized) {
         if (fresh) {
           accum.dense.Init(static_cast<uint32_t>(set.dense_slots),
-                           static_cast<uint32_t>(specs[q].aggs.size()));
+                           static_cast<uint32_t>(specs[q].payloads.size()));
         } else {
           accum.dense.Reset();
         }
@@ -225,7 +230,7 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
         if (set.dense_col) {
           accum.lg.dense_to_local.assign(set.dense_slots, -1);
         }
-        accum.lg.states.resize(specs[q].aggs.size());
+        accum.lg.states.resize(specs[q].payloads.size());
       } else {
         accum.lg.Reset();
       }
@@ -235,8 +240,8 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
 
 void AccumulateRow(const QuerySpec& spec, LocalGroups* lg, int32_t gid,
                    size_t row) {
-  for (size_t j = 0; j < spec.aggs.size(); ++j) {
-    const AggRuntime& a = spec.aggs[j];
+  for (size_t j = 0; j < spec.payloads.size(); ++j) {
+    const PayloadRuntime& a = spec.payloads[j];
     if (a.filter && !(*a.filter)[row]) continue;
     if (a.input && a.input->IsNull(row)) continue;
     if (a.count_only) {
@@ -378,7 +383,7 @@ struct VecScratch {
 
 // The vectorized inner loop for one (query, set) over one morsel: group ids
 // once (radix kernel), group creation once (touch kernel), then one typed
-// flat-slab kernel per aggregate. `sel == nullptr` means the query selects
+// flat-slab kernel per payload. `sel == nullptr` means the query selects
 // the whole morsel and the kernels walk [lo, hi) directly.
 void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
                    size_t lo, size_t hi, const vec::SelectionVector* sel,
@@ -396,8 +401,8 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
     vec::GroupIdsRange(set.dims.data(), set.dims.size(), lo, hi, gids);
     vec::TouchGroupsRange(gids, lo, n, t);
   }
-  for (size_t j = 0; j < spec.aggs.size(); ++j) {
-    const AggRuntime& a = spec.aggs[j];
+  for (size_t j = 0; j < spec.payloads.size(); ++j) {
+    const PayloadRuntime& a = spec.payloads[j];
     const uint8_t* filter = a.filter != nullptr ? a.filter->data() : nullptr;
     const uint8_t* validity =
         (a.input != nullptr && !a.input->validity().empty())
@@ -513,7 +518,7 @@ struct GlobalGroups {
 // Folds one worker's partial state for one (query, set) into the persistent
 // global state. Key parts are table-global (dictionary codes / bit
 // patterns), so partials from different workers and phases merge correctly.
-void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
+void MergeWorkerInto(const SetSpec& set, size_t num_payloads,
                      const LocalGroups& lg, GlobalGroups* global) {
   for (size_t l = 0; l < lg.rep_row.size(); ++l) {
     int32_t gid;
@@ -522,7 +527,7 @@ void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
       if (slot_gid < 0) {
         slot_gid = static_cast<int32_t>(global->rep_row.size());
         global->rep_row.push_back(lg.rep_row[l]);
-        for (auto& per_agg : global->states) per_agg.emplace_back();
+        for (auto& per_payload : global->states) per_payload.emplace_back();
       }
       gid = slot_gid;
     } else {
@@ -530,11 +535,11 @@ void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
           lg.keys[l], static_cast<int32_t>(global->rep_row.size()));
       if (inserted) {
         global->rep_row.push_back(lg.rep_row[l]);
-        for (auto& per_agg : global->states) per_agg.emplace_back();
+        for (auto& per_payload : global->states) per_payload.emplace_back();
       }
       gid = it->second;
     }
-    for (size_t j = 0; j < num_aggs; ++j) {
+    for (size_t j = 0; j < num_payloads; ++j) {
       global->states[j][gid].Merge(lg.states[j][l]);
     }
   }
@@ -545,7 +550,7 @@ void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
 // the scalar path's lazy creation, so global group ids (and therefore the
 // float merge order) are identical whichever inner loop ran. That is what
 // makes dense and hash paths bit-identical, not merely close.
-void MergeDenseInto(size_t num_aggs, const vec::DenseAggTable& t,
+void MergeDenseInto(size_t num_payloads, const vec::DenseAggTable& t,
                     GlobalGroups* global) {
   for (size_t i = 0; i < t.touched.size(); ++i) {
     const uint32_t slot = t.touched[i];
@@ -553,9 +558,9 @@ void MergeDenseInto(size_t num_aggs, const vec::DenseAggTable& t,
     if (slot_gid < 0) {
       slot_gid = static_cast<int32_t>(global->rep_row.size());
       global->rep_row.push_back(t.rep_row[i]);
-      for (auto& per_agg : global->states) per_agg.emplace_back();
+      for (auto& per_payload : global->states) per_payload.emplace_back();
     }
-    for (size_t j = 0; j < num_aggs; ++j) {
+    for (size_t j = 0; j < num_payloads; ++j) {
       global->states[j][slot_gid].Merge(
           t.slab(static_cast<uint32_t>(j))[slot]);
     }
@@ -564,12 +569,14 @@ void MergeDenseInto(size_t num_aggs, const vec::DenseAggTable& t,
 
 // Materializes one (query, set) result through the shared grouped-output
 // shape (internal::MaterializeGroupedResult), so the fused path stays
-// byte-identical to ExecuteGroupingSets by construction. Works on partial
-// (mid-scan) state just as well as on final state — the caller decides when
-// the numbers mean something.
+// byte-identical to ExecuteGroupingSets by construction: each aggregate
+// finalizes from its payload's state. Works on partial (mid-scan) state
+// just as well as on final state — the caller decides when the numbers mean
+// something.
 Result<Table> MaterializeSet(const Table& table, const GroupingSetsQuery& query,
-                             size_t set_index, const SetSpec& set,
+                             size_t set_index, const QuerySpec& spec,
                              const GlobalGroups& global) {
+  const SetSpec& set = spec.sets[set_index];
   // A global aggregate (empty grouping set) always has its one group, even
   // when no row passes the mask — matching GroupKeyBuilder, which creates
   // group 0 unconditionally.
@@ -589,9 +596,13 @@ Result<Table> MaterializeSet(const Table& table, const GroupingSetsQuery& query,
       keys[g].push_back(table.column(idx).GetValue(global.rep_row[g]));
     }
   }
+  std::vector<std::vector<AggState>> states(query.aggregates.size());
+  for (size_t j = 0; j < states.size(); ++j) {
+    states[j] = global.states[spec.payload_of[j]];
+  }
   return internal::MaterializeGroupedResult(
       table, query.grouping_sets[set_index], query.aggregates, std::move(keys),
-      global.states);
+      states);
 }
 
 // Shared mask evaluation: every distinct predicate / sample configuration
@@ -789,17 +800,19 @@ class SharedScanState::Impl {
         if (spec.mask != nullptr) spec.recipe = MaskRecipe(spec.mask);
       }
 
-      for (const auto& agg : query.aggregates) {
-        AggRuntime rt;
+      AggPayloadPlan plan = PlanAggPayloads(query.aggregates);
+      for (const AggPayload& payload : plan.payloads) {
+        const AggregateSpec& agg = query.aggregates[payload.spec];
+        PayloadRuntime rt;
         if (!agg.input.empty()) {
           SEEDB_ASSIGN_OR_RETURN(rt.input, table_.ColumnByName(agg.input));
         }
-        rt.count_only =
-            rt.input == nullptr || agg.func == AggregateFunction::kCount;
+        rt.count_only = payload.count_only;
         SEEDB_ASSIGN_OR_RETURN(rt.filter,
                                masks_.PredicateMask(agg.filter.get()));
-        spec.aggs.push_back(rt);
+        spec.payloads.push_back(rt);
       }
+      spec.payload_of = std::move(plan.payload_of);
     }
 
     active_.assign(queries_.size(), 1);
@@ -809,7 +822,7 @@ class SharedScanState::Impl {
       globals_[q].resize(specs_[q].sets.size());
       for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
         GlobalGroups& global = globals_[q][s];
-        global.states.resize(specs_[q].aggs.size());
+        global.states.resize(specs_[q].payloads.size());
         if (specs_[q].sets[s].dense_slots > 0) {
           global.dense_to_global.assign(specs_[q].sets[s].dense_slots, -1);
         }
@@ -832,7 +845,7 @@ class SharedScanState::Impl {
           std::shared_ptr<const CachedPartialAgg> entry =
               cache_->Lookup(cache_keys_[q][s]);
           if (entry == nullptr ||
-              entry->states.size() != specs_[q].aggs.size()) {
+              entry->states.size() != specs_[q].payloads.size()) {
             ++cache_misses_;
             all_adopted = false;
             continue;
@@ -899,8 +912,10 @@ class SharedScanState::Impl {
       }
     }
     if (r.kind == SelRecipe::Kind::kCompareCode) {
-      r.code_match.resize(col->dict_size());
-      for (size_t c = 0; c < r.code_match.size(); ++c) {
+      // Null rows hold code 0 and the SIMD kernel looks them up before it
+      // applies validity, so code 0 stays in range for an empty dictionary.
+      r.code_match.resize(std::max<size_t>(col->dict_size(), 1), 0);
+      for (size_t c = 0; c < col->dict_size(); ++c) {
         r.code_match[c] = CompareValues(Value(col->dict_value(
                                             static_cast<int32_t>(c))),
                                         r.op, cmp->literal())
@@ -1186,10 +1201,10 @@ class SharedScanState::Impl {
         for (size_t t = 0; t < threads; ++t) {
           const WorkerState& worker = worker_states_[t];
           if (specs_[q].sets[s].vectorized) {
-            MergeDenseInto(specs_[q].aggs.size(), worker[q][s].dense,
+            MergeDenseInto(specs_[q].payloads.size(), worker[q][s].dense,
                            &globals_[q][s]);
           } else {
-            MergeWorkerInto(specs_[q].sets[s], specs_[q].aggs.size(),
+            MergeWorkerInto(specs_[q].sets[s], specs_[q].payloads.size(),
                             worker[q][s].lg, &globals_[q][s]);
           }
         }
@@ -1209,8 +1224,8 @@ class SharedScanState::Impl {
     results.reserve(specs_[q].sets.size());
     for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
       SEEDB_ASSIGN_OR_RETURN(
-          Table out, MaterializeSet(table_, queries_[q], s, specs_[q].sets[s],
-                                    globals_[q][s]));
+          Table out,
+          MaterializeSet(table_, queries_[q], s, specs_[q], globals_[q][s]));
       results.push_back(std::move(out));
     }
     return results;
@@ -1271,9 +1286,8 @@ class SharedScanState::Impl {
     for (size_t q = 0; q < globals_.size(); ++q) {
       for (size_t g = 0; g < globals_[q].size(); ++g) {
         s.total_groups += globals_[q][g].rep_row.size();
-        s.agg_state_bytes +=
-            globals_[q][g].rep_row.size() * specs_[q].aggs.size() *
-            sizeof(AggState);
+        s.agg_state_bytes += globals_[q][g].rep_row.size() *
+                             specs_[q].payloads.size() * sizeof(AggState);
       }
     }
     return s;
@@ -1352,6 +1366,14 @@ Result<SharedScanState> SharedScanState::Create(
   if (queries.empty()) {
     return Status::InvalidArgument("shared scan needs at least one query");
   }
+  // Setup before the first phase (mask evaluation, payload planning, cache
+  // keys and adoption): its own histogram and span, so the time between a
+  // session's open and its first phase is attributed.
+  static obs::Histogram* init_latency =
+      obs::Registry::Global().GetHistogram("engine.scan.init_latency_us");
+  obs::ScopedTimer init_timer(init_latency);
+  SEEDB_TRACE_SPAN_IF(init_span, "scan.init", 0,
+                      obs::TraceRecorder::ShouldTrace(options.trace));
   auto impl = std::make_unique<Impl>(table, std::move(queries));
   SEEDB_RETURN_IF_ERROR(impl->Init(options));
   return SharedScanState(std::move(impl));

@@ -6,11 +6,13 @@
 // of that sharing argument is to stop scanning once per query altogether.
 // The table is split into fixed-size row ranges (morsels) handed to a worker
 // pool. Each worker keeps private partial aggregation states per
-// (query, grouping set): categorical sets whose composed group space fits
-// the dense-slot budget take the vectorized kernels (db/vec/ — selection
-// vectors shared per distinct mask per morsel, dictionary codes radix-
-// composed straight to flat aggregation slabs), everything else hashes
-// packed key tuples row at a time. The partials are merged after each pass.
+// (query, grouping set), one per aggregation payload (SUM/AVG/MIN/MAX/COUNT
+// of one measure under one FILTER share a state). Categorical sets whose
+// composed group space fits the dense-slot budget take the vectorized
+// kernels (db/vec/ — selection vectors shared per distinct mask per morsel,
+// dictionary codes radix-composed straight to flat aggregation slabs),
+// everything else hashes packed key tuples row at a time. The partials are
+// merged after each pass.
 // WHERE / FILTER / sample masks are evaluated once per distinct predicate
 // across the whole batch, not once per query. Both inner loops produce
 // bit-identical aggregates (pinned by tests/db/vec_equivalence_test.cc).
@@ -78,7 +80,7 @@ struct SharedScanOptions {
   /// Largest composed group-space (product of per-column dict_size + 1) a
   /// grouping set may have and still take the dense kernels; above this the
   /// set falls back to the hash path. Bounds per-worker slab memory at
-  /// slots * aggregates * sizeof(AggState).
+  /// slots * payloads * sizeof(AggState).
   size_t dense_slot_budget = 16384;
   /// Cross-session partial-aggregate cache (db/scan_cache.h); nullptr = off.
   /// With a cache, Init() partitions the batch's (query, grouping set)
@@ -96,9 +98,10 @@ struct SharedScanOptions {
   /// views' estimates final from phase 1) set this false so warm runs stay
   /// bit-identical to cold ones. An explicitly set `cache` wins over this.
   bool use_result_cache = true;
-  /// Record obs trace spans (scan.phase / scan.worker / scan.merge) for
-  /// this scan even when the active obs::TraceRecorder was not started
-  /// with trace_all_sessions. No effect while no recorder is active.
+  /// Record obs trace spans (scan.init / scan.phase / scan.worker /
+  /// scan.merge) for this scan even when the active obs::TraceRecorder was
+  /// not started with trace_all_sessions. No effect while no recorder is
+  /// active.
   bool trace = false;
 };
 
@@ -117,7 +120,9 @@ struct SharedScanStats {
   /// Groups materialized across all queries and grouping sets.
   size_t total_groups = 0;
   /// Merged aggregation-state footprint across the whole batch — all hash
-  /// tables are live at once, the working-memory trade-off §3.3 describes.
+  /// tables are live at once, the working-memory trade-off §3.3 describes:
+  /// groups x aggregation payloads (db/aggregates.h AggPayload, one per
+  /// distinct input/FILTER, not one per aggregate) x sizeof(AggState).
   size_t agg_state_bytes = 0;
   size_t morsels = 0;
   /// Morsels whose inner loop ran the vectorized kernels (dense group-id +

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <unordered_map>
 
 #include "util/histogram.h"
@@ -10,42 +9,57 @@
 namespace seedb::db {
 namespace {
 
-// Frequency table over a column's non-null values, keyed by a compact code.
-// Strings use dictionary codes; numerics use a value map.
-std::vector<size_t> ValueFrequencies(const Column& col) {
-  std::vector<size_t> freqs;
-  switch (col.type()) {
-    case ValueType::kString: {
-      freqs.assign(col.dict_size(), 0);
-      for (size_t i = 0; i < col.size(); ++i) {
-        if (!col.IsNull(i)) ++freqs[col.codes()[i]];
-      }
-      break;
+// Fills distinct_count, diversity, entropy and the top values from a
+// column's distinct non-null values and their counts. `entries` lists them
+// in the order the distribution sums run (dictionary-code order for
+// strings, hash-map iteration order for numerics); `less` orders two values
+// as Value::operator< does and `box` turns one into a Value.
+template <typename T, typename Less, typename Box>
+void ProfileDistribution(std::vector<std::pair<T, size_t>> entries,
+                         const Less& less, const Box& box,
+                         ColumnStats* stats) {
+  stats->distinct_count = entries.size();
+  size_t total = 0;
+  for (const auto& e : entries) total += e.second;
+  if (total > 0) {
+    double sum_p2 = 0.0;
+    double entropy = 0.0;
+    for (const auto& e : entries) {
+      double p = static_cast<double>(e.second) / static_cast<double>(total);
+      sum_p2 += p * p;
+      entropy -= p * std::log(p);
     }
-    case ValueType::kInt64: {
-      std::unordered_map<int64_t, size_t> m;
-      for (size_t i = 0; i < col.size(); ++i) {
-        if (!col.IsNull(i)) ++m[col.int64_data()[i]];
-      }
-      freqs.reserve(m.size());
-      for (const auto& [_, c] : m) freqs.push_back(c);
-      break;
-    }
-    case ValueType::kDouble: {
-      std::unordered_map<double, size_t> m;
-      for (size_t i = 0; i < col.size(); ++i) {
-        if (!col.IsNull(i)) ++m[col.double_data()[i]];
-      }
-      freqs.reserve(m.size());
-      for (const auto& [_, c] : m) freqs.push_back(c);
-      break;
-    }
-    case ValueType::kNull:
-      break;
+    stats->diversity = 1.0 - sum_p2;
+    stats->normalized_entropy =
+        entries.size() > 1
+            ? entropy / std::log(static_cast<double>(entries.size()))
+            : 0.0;
   }
-  // Drop zero-count entries (dictionary codes referenced only by null slots).
-  freqs.erase(std::remove(freqs.begin(), freqs.end(), size_t{0}), freqs.end());
-  return freqs;
+
+  // Top values: most frequent first, ties by ascending value.
+  const size_t k = std::min(entries.size(), ColumnStats::kTopValues);
+  std::partial_sort(entries.begin(), entries.begin() + k, entries.end(),
+                    [&](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return less(a.first, b.first);
+                    });
+  stats->top_values.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    stats->top_values.emplace_back(box(entries[i].first), entries[i].second);
+  }
+}
+
+// Counts a numeric column's non-null values by raw value. Equal keys keep
+// their first occurrence (so +0.0 and -0.0 count as one value, boxed as
+// whichever came first); each NaN counts as its own value.
+template <typename T>
+std::vector<std::pair<T, size_t>> RawValueCounts(const Column& col,
+                                                 const std::vector<T>& data) {
+  std::unordered_map<T, size_t> counts;
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsNull(i)) ++counts[data[i]];
+  }
+  return {counts.begin(), counts.end()};
 }
 
 }  // namespace
@@ -59,7 +73,6 @@ ColumnStats ComputeColumnStats(const Table& table, size_t col_index) {
   stats.role = def.role;
   stats.row_count = col.size();
   stats.null_count = col.null_count();
-  stats.distinct_count = col.CountDistinct();
 
   if (col.type() == ValueType::kInt64 || col.type() == ValueType::kDouble) {
     RunningStats rs;
@@ -72,39 +85,46 @@ ColumnStats ComputeColumnStats(const Table& table, size_t col_index) {
     stats.variance = rs.variance();
   }
 
-  // Diversity and entropy over the value distribution.
-  std::vector<size_t> freqs = ValueFrequencies(col);
-  size_t total = 0;
-  for (size_t f : freqs) total += f;
-  if (total > 0) {
-    double sum_p2 = 0.0;
-    double entropy = 0.0;
-    for (size_t f : freqs) {
-      double p = static_cast<double>(f) / static_cast<double>(total);
-      sum_p2 += p * p;
-      entropy -= p * std::log(p);
+  // One typed counting pass feeds distinct_count, diversity, entropy and
+  // the top values.
+  switch (col.type()) {
+    case ValueType::kString: {
+      std::vector<size_t> per_code(col.dict_size(), 0);
+      for (size_t i = 0; i < col.size(); ++i) {
+        if (!col.IsNull(i)) ++per_code[col.codes()[i]];
+      }
+      std::vector<std::pair<int32_t, size_t>> entries;
+      for (size_t c = 0; c < per_code.size(); ++c) {
+        if (per_code[c] > 0) {
+          entries.emplace_back(static_cast<int32_t>(c), per_code[c]);
+        }
+      }
+      ProfileDistribution(
+          std::move(entries),
+          [&](int32_t a, int32_t b) {
+            return col.dict_value(a) < col.dict_value(b);
+          },
+          [&](int32_t c) { return Value(col.dict_value(c)); }, &stats);
+      break;
     }
-    stats.diversity = 1.0 - sum_p2;
-    stats.normalized_entropy =
-        freqs.size() > 1 ? entropy / std::log(static_cast<double>(freqs.size()))
-                         : 0.0;
+    case ValueType::kInt64:
+      ProfileDistribution(
+          RawValueCounts(col, col.int64_data()),
+          [](int64_t a, int64_t b) { return a < b; },
+          [](int64_t v) { return Value(v); }, &stats);
+      break;
+    case ValueType::kDouble:
+      // NaNs order last so the comparator stays a strict weak order.
+      ProfileDistribution(
+          RawValueCounts(col, col.double_data()),
+          [](double a, double b) {
+            return a < b || (std::isnan(b) && !std::isnan(a));
+          },
+          [](double v) { return Value(v); }, &stats);
+      break;
+    case ValueType::kNull:
+      break;
   }
-
-  // Top values: exact counts via value map (column cardinalities in SeeDB's
-  // dimension model are small enough for this to be cheap).
-  std::map<Value, size_t> counts;
-  for (size_t i = 0; i < col.size(); ++i) {
-    if (!col.IsNull(i)) ++counts[col.GetValue(i)];
-  }
-  std::vector<std::pair<Value, size_t>> sorted(counts.begin(), counts.end());
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (sorted.size() > ColumnStats::kTopValues) {
-    sorted.resize(ColumnStats::kTopValues);
-  }
-  stats.top_values = std::move(sorted);
   return stats;
 }
 

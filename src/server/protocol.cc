@@ -237,21 +237,32 @@ Result<core::SeeDBRequest> OpenRequestFromJson(const JsonValue& request) {
                            core::ParseDistanceMetric(metric));
     req->WithMetric(m);
   }
-  if (const std::string strategy = request.GetString("strategy");
-      !strategy.empty()) {
-    SEEDB_ASSIGN_OR_RETURN(core::ExecutionStrategy s, ParseStrategy(strategy));
-    req->WithStrategy(s);
+  // The phased knobs below imply the phased strategy when none is named;
+  // an explicit strategy wins, and naming a non-phased one beside a
+  // phased-only knob is an error rather than a silent switch.
+  std::optional<core::ExecutionStrategy> strategy;
+  if (const std::string name = request.GetString("strategy"); !name.empty()) {
+    SEEDB_ASSIGN_OR_RETURN(strategy, ParseStrategy(name));
   }
-  if (int64_t phases = request.GetInt("phases"); phases > 0) {
-    req->WithPhases(static_cast<size_t>(phases));
+  const int64_t phases = request.GetInt("phases");
+  if (phases > 0) req->WithPhases(static_cast<size_t>(phases));
+  core::OnlinePruner pruner = core::OnlinePruner::kNone;
+  if (const std::string name = request.GetString("pruner"); !name.empty()) {
+    SEEDB_ASSIGN_OR_RETURN(pruner, core::ParseOnlinePruner(name));
+    req->WithOnlinePruner(pruner);
   }
-  if (const std::string pruner = request.GetString("pruner"); !pruner.empty()) {
-    SEEDB_ASSIGN_OR_RETURN(core::OnlinePruner p,
-                           core::ParseOnlinePruner(pruner));
-    req->WithOnlinePruner(p);
-  }
-  if (int64_t early_stop = request.GetInt("early_stop"); early_stop > 0) {
-    req->WithEarlyStop(static_cast<size_t>(early_stop));
+  const int64_t early_stop = request.GetInt("early_stop");
+  if (early_stop > 0) req->WithEarlyStop(static_cast<size_t>(early_stop));
+  if (strategy.has_value()) {
+    if (*strategy != core::ExecutionStrategy::kPhasedSharedScan &&
+        (phases > 1 || pruner != core::OnlinePruner::kNone ||
+         early_stop > 0)) {
+      return Status::InvalidArgument(
+          "\"phases\" > 1, \"pruner\" and \"early_stop\" need strategy "
+          "phased-shared-scan, not " +
+          request.GetString("strategy"));
+    }
+    req->WithStrategy(*strategy);
   }
   // The Hoeffding knobs have no fluent setter (they are expert-only);
   // rebuild the options payload for them.

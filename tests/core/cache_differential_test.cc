@@ -183,10 +183,11 @@ TEST_F(CacheDifferentialTest, TableVersionBumpInvalidatesWarmEntries) {
 }
 
 TEST_F(CacheDifferentialTest, LruEvictionUnderBudgetNeverChangesAnswers) {
-  // A budget big enough for roughly one request's entries but not two
-  // different requests': alternating selections thrash the LRU.
+  // A budget big enough for roughly one request's entries (one AggState
+  // per payload and group) but not two different requests': alternating
+  // selections thrash the LRU.
   db::Engine engine(&catalog_);
-  engine.EnableResultCache(8 * 1024);
+  engine.EnableResultCache(4 * 1024);
   db::Engine reference(&catalog_);
 
   const SeeDBRequest wide =

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace seedb::db {
 namespace {
 
@@ -86,6 +88,38 @@ TEST(AggregateSpecTest, ToSqlPlain) {
   EXPECT_EQ(AggregateSpec::Make(AggregateFunction::kMax, "m").ToSql(),
             "MAX(m)");
   EXPECT_EQ(AggregateSpec::Count("n").ToSql(), "COUNT(*) AS n");
+}
+
+// Payload planning: full payloads in first-use order, then count-only ones;
+// a COUNT rides on a full payload of its input under the same FILTER object
+// wherever it sits in the list; FILTERs match by object, not by text.
+TEST(AggPayloadPlanTest, CountsRideOnFullPayloadsOfTheSameInputAndFilter) {
+  PredicatePtr target(Eq("product", Value("Laserwave")));
+  PredicatePtr same_text(Eq("product", Value("Laserwave")));
+  const std::vector<AggregateSpec> aggs = {
+      AggregateSpec::Make(AggregateFunction::kCount, "m", "c_m_t", target),
+      AggregateSpec::Make(AggregateFunction::kSum, "m", "s_m_t", target),
+      AggregateSpec::Make(AggregateFunction::kAvg, "m", "a_m"),
+      AggregateSpec::Make(AggregateFunction::kMax, "m", "x_m_t", target),
+      AggregateSpec::Count("n"),
+      AggregateSpec::Make(AggregateFunction::kCount, "k", "c_k"),
+      AggregateSpec::Make(AggregateFunction::kMin, "m", "i_m_o", same_text),
+      AggregateSpec::Make(AggregateFunction::kCount, "m", "c_m"),
+  };
+  const AggPayloadPlan plan = PlanAggPayloads(aggs);
+  ASSERT_EQ(plan.payloads.size(), 5u);
+  // Full: (m, target) from spec 1, (m, none) from 2, (m, same_text) from 6.
+  EXPECT_EQ(plan.payloads[0].spec, 1u);
+  EXPECT_EQ(plan.payloads[1].spec, 2u);
+  EXPECT_EQ(plan.payloads[2].spec, 6u);
+  // Count-only: COUNT(*) and COUNT(k), which have no full payload.
+  EXPECT_EQ(plan.payloads[3].spec, 4u);
+  EXPECT_EQ(plan.payloads[4].spec, 5u);
+  for (size_t p = 0; p < plan.payloads.size(); ++p) {
+    EXPECT_EQ(plan.payloads[p].count_only, p >= 3) << p;
+  }
+  EXPECT_EQ(plan.payload_of,
+            (std::vector<size_t>{0, 0, 1, 0, 3, 4, 2, 1}));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "db/group_by.h"
+#include "db/statistics.h"
 
 namespace seedb::db {
 namespace {
@@ -28,8 +29,8 @@ TEST(BinningTest, AddsDimensionColumn) {
   EXPECT_EQ(def.role, ColumnRole::kDimension);
   EXPECT_EQ(def.type, ValueType::kString);
   // Values 0..99 over 10 equi-width bins: 10 distinct labels.
-  const Column* col = binned.ColumnByName("m_bin").ValueOrDie();
-  EXPECT_EQ(col->CountDistinct(), 10u);
+  const size_t bin_col = binned.schema().FindColumn("m_bin").ValueOrDie();
+  EXPECT_EQ(ComputeColumnStats(binned, bin_col).distinct_count, 10u);
 }
 
 TEST(BinningTest, BucketsHoldEqualCounts) {
@@ -102,8 +103,8 @@ TEST(BinningTest, ConstantColumnGetsOneBucket) {
     ASSERT_TRUE(t.AppendRow({Value(7.0)}).ok());
   }
   auto binned = WithBinnedColumn(t, "m", {.num_bins = 3}).ValueOrDie();
-  const Column* col = binned.ColumnByName("m_bin").ValueOrDie();
-  EXPECT_EQ(col->CountDistinct(), 1u);
+  const size_t bin_col = binned.schema().FindColumn("m_bin").ValueOrDie();
+  EXPECT_EQ(ComputeColumnStats(binned, bin_col).distinct_count, 1u);
 }
 
 TEST(BinningTest, EmptyNumericColumnFails) {

@@ -117,6 +117,18 @@ TEST(PartialAggCacheKeyTest, VersionSetAndSpellingSemantics) {
   avg.aggregates[0].func = AggregateFunction::kAvg;
   EXPECT_EQ(PartialAggCacheKey(t, 1, q1, 0), PartialAggCacheKey(t, 1, avg, 0));
 
+  // COUNT(m) alone accumulates a count-only payload (sum 0, min/max at
+  // +/-inf), so it must not share SUM(m)'s key; beside SUM(m) it rides on
+  // the full payload and the key is SUM(m)'s.
+  GroupingSetsQuery count = q1;
+  count.aggregates[0].func = AggregateFunction::kCount;
+  EXPECT_NE(PartialAggCacheKey(t, 1, q1, 0),
+            PartialAggCacheKey(t, 1, count, 0));
+  GroupingSetsQuery sum_and_count = q1;
+  sum_and_count.aggregates.push_back(count.aggregates[0]);
+  EXPECT_EQ(PartialAggCacheKey(t, 1, q1, 0),
+            PartialAggCacheKey(t, 1, sum_and_count, 0));
+
   // Sampling configuration participates too.
   GroupingSetsQuery sampled = q1;
   sampled.sample_fraction = 0.5;
@@ -280,6 +292,45 @@ TEST(ScanCacheIntegrationTest, WarmRunAdoptsWithoutScanning) {
       }
     }
   }
+}
+
+// COUNT(m) then SUM(m) on one cached engine: the SUM must not adopt the
+// COUNT's count-only entry (it once did, and answered 0 for every group).
+TEST(ScanCacheIntegrationTest, SumNeverAdoptsACountOnlyEntry) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", MakeTinyTable()).ok());
+  Engine engine(&catalog);
+  engine.EnableResultCache(1 << 20);
+  Engine cold_engine(&catalog);
+  auto query = [](AggregateFunction func) {
+    GroupingSetsQuery q;
+    q.table = "t";
+    q.grouping_sets = {{"d"}};
+    q.aggregates = {AggregateSpec::Make(func, "m1")};
+    return q;
+  };
+  ASSERT_TRUE(engine.ExecuteShared({query(AggregateFunction::kCount)}).ok());
+  auto warm = engine.ExecuteShared({query(AggregateFunction::kSum)});
+  auto cold = cold_engine.ExecuteShared({query(AggregateFunction::kSum)});
+  ASSERT_TRUE(warm.ok() && cold.ok());
+  EXPECT_EQ(engine.stats().cache_hits, 0u);
+  const Table& w = (*warm)[0][0];
+  const Table& c = (*cold)[0][0];
+  ASSERT_EQ(w.num_rows(), 2u);
+  ASSERT_EQ(c.num_rows(), 2u);
+  EXPECT_EQ(c.ValueAt(0, 1), Value(8.0));   // d = a: 1 + 2 + 5
+  EXPECT_EQ(c.ValueAt(1, 1), Value(13.0));  // d = b: 3 + 4 + 6
+  for (size_t r = 0; r < 2; ++r) EXPECT_EQ(w.ValueAt(r, 1), c.ValueAt(r, 1));
+
+  // A later SUM+COUNT session rides on the SUM's full payload: one hit,
+  // both columns exact.
+  GroupingSetsQuery both = query(AggregateFunction::kSum);
+  both.aggregates.push_back(AggregateSpec::Make(AggregateFunction::kCount, "m1"));
+  auto adopted = engine.ExecuteShared({both});
+  ASSERT_TRUE(adopted.ok());
+  EXPECT_EQ(engine.stats().cache_hits, 1u);
+  EXPECT_EQ((*adopted)[0][0].ValueAt(0, 1), Value(8.0));
+  EXPECT_EQ((*adopted)[0][0].ValueAt(0, 2), Value(3.0));
 }
 
 TEST(ScanCacheIntegrationTest, TableReplaceInvalidatesEntries) {

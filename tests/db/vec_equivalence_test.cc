@@ -317,6 +317,94 @@ TEST(VecEquivalenceTest, SimdTierMatchesScalarTierBitForBit) {
   }
 }
 
+// Payload sharing: SUM, AVG, COUNT(m), MIN and MAX of one measure, with and
+// without a FILTER, in one query share one accumulator per (measure,
+// FILTER) — and must still finalize exactly what one-aggregate queries
+// compute, on the SIMD, scalar-dense and hash tiers alike.
+TEST(VecEquivalenceTest, SharedPayloadsMatchOneAggregateQueries) {
+  Table table = MakeMatrixTable(11, 3000);
+  const PredicatePtr filter(Eq("d_small", Value("s1")));
+  const AggregateFunction kFuncs[] = {
+      AggregateFunction::kSum, AggregateFunction::kAvg,
+      AggregateFunction::kCount, AggregateFunction::kMin,
+      AggregateFunction::kMax};
+
+  GroupingSetsQuery all;
+  all.table = "t";
+  all.where = PredicatePtr(Ne("d_wide", Value("w3")));
+  all.grouping_sets = {{"d_small"}, {"d_nullable", "d_wide"}, {}};
+  for (const char* measure : {"m_int", "m_double"}) {
+    for (const PredicatePtr& f : {PredicatePtr(), filter}) {
+      for (AggregateFunction func : kFuncs) {
+        all.aggregates.push_back(AggregateSpec::Make(
+            func, measure,
+            std::string(AggregateFunctionToSql(func)) + "_" + measure +
+                (f ? "_f" : ""),
+            f));
+      }
+    }
+  }
+  all.aggregates.push_back(AggregateSpec::Count("n"));
+  all.aggregates.push_back(
+      AggregateSpec::Make(AggregateFunction::kCount, "", "n_f", filter));
+  // A COUNT whose measure has no full payload under its FILTER keeps a
+  // count-only payload of its own.
+  all.aggregates.push_back(AggregateSpec::Make(
+      AggregateFunction::kCount, "m_int", "n_int_w",
+      PredicatePtr(Gt("m_double", Value(0.0)))));
+
+  // Two measures x two FILTERs share four full payloads; COUNT(*) twice and
+  // the lone COUNT(m_int) add three count-only ones.
+  const AggPayloadPlan plan = PlanAggPayloads(all.aggregates);
+  EXPECT_EQ(plan.payloads.size(), 7u);
+
+  std::vector<GroupingSetsQuery> batch = {all};
+  for (const AggregateSpec& agg : all.aggregates) {
+    GroupingSetsQuery one = all;
+    one.aggregates = {agg};
+    batch.push_back(one);
+  }
+
+  SharedScanOptions simd;
+  simd.num_threads = 2;
+  simd.morsel_rows = 700;
+  SharedScanOptions scalar = simd;
+  scalar.enable_simd = false;
+  SharedScanOptions hash = simd;
+  hash.enable_vectorized = false;
+  const std::pair<const char*, SharedScanOptions> kTiers[] = {
+      {"simd", simd}, {"scalar", scalar}, {"hash", hash}};
+  for (const auto& [tier, options] : kTiers) {
+    SharedScanStats stats;
+    auto results = ExecuteSharedScan(table, batch, options, &stats);
+    ASSERT_TRUE(results.ok()) << tier << ": " << results.status().ToString();
+    for (size_t s = 0; s < all.grouping_sets.size(); ++s) {
+      const Table& got = (*results)[0][s];
+      const size_t keys = all.grouping_sets[s].size();
+      for (size_t j = 0; j < all.aggregates.size(); ++j) {
+        const Table& want = (*results)[j + 1][s];
+        ASSERT_EQ(got.num_rows(), want.num_rows()) << tier << " set " << s;
+        for (size_t r = 0; r < got.num_rows(); ++r) {
+          for (size_t c = 0; c < keys; ++c) {
+            EXPECT_EQ(got.ValueAt(r, c), want.ValueAt(r, c));
+          }
+          EXPECT_EQ(got.ValueAt(r, keys + j), want.ValueAt(r, keys))
+              << tier << " set " << s << " row " << r << " "
+              << all.aggregates[j].EffectiveName();
+        }
+      }
+    }
+    // Merged state is counted per payload: the shared query holds seven
+    // states per group, each one-aggregate query one.
+    size_t groups = 0;
+    for (const Table& t : (*results)[0]) groups += t.num_rows();
+    EXPECT_EQ(stats.agg_state_bytes,
+              groups * (plan.payloads.size() + all.aggregates.size()) *
+                  sizeof(AggState))
+        << tier;
+  }
+}
+
 // Slab reuse across phases: a two-phase run must allocate each worker's
 // dense slabs exactly once — the second phase reuses them via the
 // capacity-preserving Reset instead of reallocating.
@@ -377,6 +465,64 @@ TEST(VecEquivalenceTest, PhasedRunAllocatesWorkerSlabsOnce) {
 // double- or under-count — with morsel_rows = 4 the 12-row layout below
 // puts an all-null morsel in the middle and splits a null run across the
 // second boundary.
+// A WHERE on a string column whose rows are all null (empty dictionary,
+// every slot code 0) must match nothing on every tier, whether it fuses to
+// the dictionary compare kernel (=) or runs as a byte mask (BETWEEN, IN).
+TEST(VecEquivalenceTest, WhereOnAllNullStringColumn) {
+  Schema schema({
+      ColumnDef::Dimension("d"),
+      ColumnDef::Dimension("s"),
+      ColumnDef::Measure("m"),
+  });
+  Table table(schema);
+  const char* kDims[] = {"a", "b", "c"};
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(
+        table.AppendRow({Value(kDims[i % 3]), Value::Null(), Value(1.0 * i)})
+            .ok());
+  }
+  std::vector<GroupingSetsQuery> queries;
+  for (PredicatePtr where :
+       {PredicatePtr(Eq("s", Value("x"))),
+        PredicatePtr(Between("s", Value("a"), Value("z"))),
+        PredicatePtr(Not(In("s", {Value("x")})))}) {
+    GroupingSetsQuery q;
+    q.table = "t";
+    q.where = where;
+    q.grouping_sets = {{"d"}, {}};
+    q.aggregates = {AggregateSpec::Count(),
+                    AggregateSpec::Make(AggregateFunction::kSum, "m")};
+    queries.push_back(q);
+  }
+
+  SharedScanOptions simd;
+  simd.num_threads = 1;
+  simd.morsel_rows = 16;
+  simd.enable_simd = true;
+  SharedScanOptions scalar = simd;
+  scalar.enable_simd = false;
+  SharedScanOptions hash = simd;
+  hash.enable_vectorized = false;
+  const std::pair<const char*, SharedScanOptions> kTiers[] = {
+      {"simd", simd}, {"scalar", scalar}, {"hash", hash}};
+  for (const auto& [tier, options] : kTiers) {
+    auto got = ExecuteSharedScan(table, queries, options, nullptr);
+    ASSERT_TRUE(got.ok()) << tier << ": " << got.status().ToString();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto want = ExecuteGroupingSets(table, queries[q], nullptr);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      for (size_t set = 0; set < want->size(); ++set) {
+        ExpectTablesBitIdentical((*got)[q][set], (*want)[set],
+                                 std::string(tier) + " query " +
+                                     std::to_string(q) + " set " +
+                                     std::to_string(set));
+      }
+    }
+    // NOT keeps all 50 rows: three groups by d.
+    EXPECT_EQ((*got)[2][0].num_rows(), 3u) << tier;
+  }
+}
+
 TEST(VecEquivalenceTest, AllNullMorselAndStraddlingNullRuns) {
   Schema schema({
       ColumnDef::Dimension("d"),

@@ -103,6 +103,10 @@ TEST(MetricsFrameTest, ServerAnswersMetricsAfterASession) {
   ASSERT_NE(phase, nullptr);
   EXPECT_GE(phase->GetInt("count"), 3);
   EXPECT_GT(phase->GetInt("p99_us"), 0);
+  // Scan setup before the first phase is timed on its own.
+  const JsonValue* init = hists->Find("engine.scan.init_latency_us");
+  ASSERT_NE(init, nullptr);
+  EXPECT_GE(init->GetInt("count"), 1);
   const JsonValue* open_us = hists->Find("server.request.open_us");
   ASSERT_NE(open_us, nullptr);
   EXPECT_GE(open_us->GetInt("count"), 1);

@@ -216,6 +216,47 @@ TEST(ProtocolTest, OpenRejectsBadFields) {
   EXPECT_FALSE(open_with(",\"table\":\"t\",\"k\":\"three\"").ok());
 }
 
+// An explicit strategy wins over the phased knobs' implied switch, and a
+// phased-only knob beside an explicit non-phased strategy is refused rather
+// than silently turning the session phased.
+TEST(ProtocolTest, OpenExplicitStrategyWinsOverImpliedPhasing) {
+  auto open_with = [](const std::string& extra) {
+    std::string line = "{\"op\":\"open\",\"id\":\"x\",\"table\":\"t\"" +
+                       extra + "}";
+    auto parsed = ParseJson(line);
+    EXPECT_TRUE(parsed.ok()) << line;
+    return OpenRequestFromJson(*parsed);
+  };
+  auto shared = open_with(
+      ",\"strategy\":\"shared-scan\",\"phases\":1,\"pruner\":\"none\"");
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  EXPECT_EQ(shared->options().strategy, core::ExecutionStrategy::kSharedScan);
+  auto per_query = open_with(",\"strategy\":\"per-query\",\"phases\":1");
+  ASSERT_TRUE(per_query.ok()) << per_query.status();
+  EXPECT_EQ(per_query->options().strategy, core::ExecutionStrategy::kPerQuery);
+  // Without a strategy the knobs still imply the phased one.
+  auto implied = open_with(",\"phases\":4");
+  ASSERT_TRUE(implied.ok());
+  EXPECT_EQ(implied->options().strategy,
+            core::ExecutionStrategy::kPhasedSharedScan);
+  auto phased = open_with(",\"strategy\":\"phased\",\"phases\":4");
+  ASSERT_TRUE(phased.ok());
+  EXPECT_EQ(phased->options().strategy,
+            core::ExecutionStrategy::kPhasedSharedScan);
+  EXPECT_EQ(phased->options().online_pruning.num_phases, 4u);
+
+  for (const char* knob :
+       {",\"phases\":4", ",\"pruner\":\"ci\"", ",\"early_stop\":2"}) {
+    for (const char* strategy : {"shared-scan", "per-query"}) {
+      auto refused =
+          open_with(std::string(",\"strategy\":\"") + strategy + "\"" + knob);
+      ASSERT_FALSE(refused.ok()) << strategy << knob;
+      EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+          << strategy << knob;
+    }
+  }
+}
+
 // --- Progress / result frame round-trips ---
 
 TEST(ProtocolTest, ProgressFrameRoundTrips) {
@@ -372,6 +413,38 @@ TEST_F(DispatchTest, ResumeRequiresACancelledSession) {
   // Resumed: phases run again.
   EXPECT_EQ(Call("{\"op\":\"next\",\"id\":\"r1\"}").GetString("type"),
             "progress");
+}
+
+TEST_F(DispatchTest, OpenWithExplicitSharedScanStaysSharedScan) {
+  // Golden: the knob-free shared-scan open runs one blocking pass — one
+  // progress frame of one phase, then drained.
+  JsonValue opened = Call(
+      "{\"op\":\"open\",\"id\":\"ss\",\"sql\":"
+      "\"SELECT * FROM sales WHERE product = 'Laserwave'\","
+      "\"strategy\":\"shared-scan\",\"phases\":1,\"pruner\":\"none\"}");
+  ASSERT_TRUE(opened.GetBool("ok")) << opened.Dump();
+  JsonValue progress = Call("{\"op\":\"next\",\"id\":\"ss\"}");
+  ASSERT_TRUE(progress.GetBool("ok")) << progress.Dump();
+  EXPECT_EQ(progress.GetString("type"), "progress");
+  EXPECT_EQ(progress.GetInt("phase"), 1);
+  EXPECT_EQ(progress.GetInt("total_phases"), 1);
+  EXPECT_EQ(Call("{\"op\":\"next\",\"id\":\"ss\"}").GetString("type"),
+            "drained");
+
+  // Golden: a phased-only knob beside an explicit shared-scan strategy is
+  // an invalid_argument error frame, and no session is left behind.
+  JsonValue refused = Call(
+      "{\"op\":\"open\",\"id\":\"bad\",\"sql\":"
+      "\"SELECT * FROM sales WHERE product = 'Laserwave'\","
+      "\"strategy\":\"shared-scan\",\"phases\":3}");
+  EXPECT_FALSE(refused.GetBool("ok"));
+  EXPECT_EQ(refused.GetString("id"), "bad");
+  EXPECT_EQ(refused.GetString("code"), "invalid_argument");
+  EXPECT_NE(refused.GetString("error").find("phased-shared-scan"),
+            std::string::npos)
+      << refused.Dump();
+  EXPECT_EQ(Call("{\"op\":\"next\",\"id\":\"bad\"}").GetString("code"),
+            "not_found");
 }
 
 TEST_F(DispatchTest, StatusWorksWithAndWithoutSession) {
